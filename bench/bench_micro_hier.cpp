@@ -5,7 +5,8 @@
 //                      [--rtol 1e-1] [--json BENCH_hier.json]
 //
 // Measures the parallel engines — HSS matvec/matmat sweeps, ULV
-// factorization/solve, HODLR/SMW factorization/solve — at one thread (the
+// factorization/solve, HODLR/SMW factorization/solve, H-matrix construction
+// and H * X sampling products — at one thread (the
 // serial baseline) and at every hardware thread, and reports the speedups
 // plus the per-phase split (elimination sweep vs root LU, forward vs
 // backward solve).  A second table pits the OpenMP task-DAG schedule (the
@@ -25,6 +26,7 @@
 
 #include "bench_common.hpp"
 #include "cluster/ordering.hpp"
+#include "hmat/hmatrix.hpp"
 #include "hodlr/hodlr.hpp"
 #include "hss/build.hpp"
 #include "hss/ulv.hpp"
@@ -40,14 +42,14 @@ struct Fixture {
   cluster::ClusterTree tree;
   std::unique_ptr<kernel::KernelMatrix> km;
 
-  static Fixture make(int n, std::uint64_t seed) {
+  static Fixture make(int n, std::uint64_t seed, int leaf_size = 16) {
     data::Dataset ds = data::make_paper_dataset("SUSY", n, seed);
     data::ColumnTransform t = data::fit_zscore(ds.points);
     t.apply(ds.points);
 
     Fixture f;
     cluster::OrderingOptions copts;
-    copts.leaf_size = 16;
+    copts.leaf_size = leaf_size;
     f.tree = cluster::build_cluster_tree(
         ds.points, cluster::OrderingMethod::kTwoMeans, copts);
     la::Matrix permuted =
@@ -104,6 +106,19 @@ Pair timed_pair(int reps, int maxthreads, Fn&& fn) {
   return p;
 }
 
+// Flops of one H * X product with s columns: 2 s per dense entry, 2 s k
+// per row and per column of a rank-k block.
+double hmat_multiply_flops(const hmat::HMatrix& h, int s) {
+  double flops = 0.0;
+  for (const hmat::HBlock& blk : h.blocks()) {
+    const double rows = blk.row_hi - blk.row_lo;
+    const double cols = blk.col_hi - blk.col_lo;
+    flops += blk.low_rank ? 2.0 * s * blk.lr.rank() * (rows + cols)
+                          : 2.0 * s * rows * cols;
+  }
+  return flops;
+}
+
 util::Json pair_json(int n, const Pair& p) {
   return util::Json::object()
       .set("n", static_cast<long>(n))
@@ -135,6 +150,7 @@ int main(int argc, char** argv) {
   doc.set("nrhs", static_cast<long>(nrhs));
   doc.set("reps", static_cast<long>(reps));
   doc.set("threads_max", static_cast<long>(maxthreads));
+  doc.set("nproc", static_cast<long>(util::hardware_threads()));
   util::Json jbuild = util::Json::array();
   util::Json jmatvec = util::Json::array();
   util::Json jmatmat = util::Json::array();
@@ -146,6 +162,8 @@ int main(int argc, char** argv) {
   util::Json jsmw_solve = util::Json::array();
   util::Json jfactor_sched = util::Json::array();
   util::Json jmatmat_sched = util::Json::array();
+  util::Json jhbuild = util::Json::array();
+  util::Json jhmul = util::Json::array();
 
   util::Table tg({"kernel", "n", "t=1 s", "t=" + std::to_string(maxthreads) +
                   " s", "speedup"});
@@ -301,6 +319,41 @@ int main(int argc, char** argv) {
     });
     add_row("smw_solve_rhs" + std::to_string(nrhs), n, smws);
     jsmw_solve.push(pair_json(n, smws));
+
+    // H-matrix sampling operator (hss-rand-h) at the fit pipeline's leaf
+    // size: construction, and H * X rated over the block flop count.
+    const Fixture fh = Fixture::make(n, c.seed, /*leaf_size=*/128);
+    hmat::HOptions ho;
+    ho.rtol = c.rtol;
+    const Pair hb = timed_pair(reps, maxthreads, [&] {
+      hmat::HMatrix h(*fh.km, fh.tree, ho);
+    });
+    add_row("hmat_build", n, hb);
+    util::set_threads(maxthreads);
+    const hmat::HMatrix h(*fh.km, fh.tree, ho);
+    jhbuild.push(pair_json(n, hb)
+                     .set("threads", static_cast<long>(maxthreads))
+                     .set("lowrank_blocks",
+                          static_cast<long>(h.stats().num_lowrank_blocks))
+                     .set("max_block_rank",
+                          static_cast<long>(h.stats().max_block_rank))
+                     .set("memory_bytes",
+                          static_cast<long>(h.stats().memory_bytes)));
+    for (const int s : {64, 256}) {
+      la::Matrix hx(n, s);
+      rng.fill_normal(hx.data(), hx.size());
+      const Pair hm_pair = timed_pair(reps, maxthreads, [&] {
+        la::Matrix y = h.multiply(hx);
+      });
+      const double flops = hmat_multiply_flops(h, s);
+      add_row("hmat_multiply_" + std::to_string(s), n, hm_pair);
+      jhmul.push(pair_json(n, hm_pair)
+                     .set("s", static_cast<long>(s))
+                     .set("threads", static_cast<long>(maxthreads))
+                     .set("flops", flops)
+                     .set("serial_gflops", flops / hm_pair.serial * 1e-9)
+                     .set("parallel_gflops", flops / hm_pair.parallel * 1e-9));
+    }
   }
   util::set_threads(maxthreads);
   tg.print(std::cout, "hierarchical tier, 1 thread vs " +
@@ -320,6 +373,8 @@ int main(int argc, char** argv) {
   doc.set("hss_matmat_schedule", std::move(jmatmat_sched));
   doc.set("smw_factor", std::move(jsmw_factor));
   doc.set("smw_solve", std::move(jsmw_solve));
+  doc.set("hmat_build", std::move(jhbuild));
+  doc.set("hmat_multiply", std::move(jhmul));
   const bool json_ok = bench::write_json_if_requested(c, doc);
 
   std::cout << "shape to check: ulv_factor+solve speedup >= 2.5x at n ~ 8192\n"

@@ -239,16 +239,21 @@ void recompress(LowRank* lr, double rtol) {
   if (keep == 0) keep = 1;
   if (keep >= k) return;  // nothing gained
 
-  la::Matrix qu_thin = qu.q_thin();
-  la::Matrix qv_thin = qv.q_thin();
-
-  // New U = Qu * Us * diag(s), new V = Qv * Vs.
-  la::Matrix us = s.u.block(0, 0, k, keep);
-  for (int i = 0; i < k; ++i) {
-    for (int j = 0; j < keep; ++j) us(i, j) *= s.s[j];
+  // New U = Qu [Us diag(s); 0], new V = Qv [Vs; 0]: the reflectors act on
+  // the small SVD factors directly, so the thin Q factors are never formed.
+  const int ku = s.u.rows(), kv = s.v.rows();
+  la::Matrix us(lr->u.rows(), keep);
+  for (int i = 0; i < ku; ++i) {
+    for (int j = 0; j < keep; ++j) us(i, j) = s.u(i, j) * s.s[j];
   }
-  lr->u = la::matmul(qu_thin, us);
-  lr->v = la::matmul(qv_thin, s.v.block(0, 0, k, keep));
+  la::Matrix vs(lr->v.rows(), keep);
+  for (int i = 0; i < kv; ++i) {
+    for (int j = 0; j < keep; ++j) vs(i, j) = s.v(i, j);
+  }
+  qu.apply_q(us);
+  qv.apply_q(vs);
+  lr->u = std::move(us);
+  lr->v = std::move(vs);
 }
 
 }  // namespace khss::hmat

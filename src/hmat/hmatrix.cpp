@@ -4,9 +4,8 @@
 #include <cassert>
 #include <cmath>
 
-#include "la/blas.hpp"
+#include "la/gemm_kernel.hpp"
 #include "util/contracts.hpp"
-#include "util/threads.hpp"
 #include "util/timer.hpp"
 
 namespace khss::hmat {
@@ -154,19 +153,8 @@ void HMatrix::build(const kernel::KernelMatrix& kernel,
     return x.col_lo < y.col_lo;
   });
 
-  stats_ = HStats{};
+  finalize();
   stats_.build_seconds = timer.seconds();
-  stats_.num_blocks = static_cast<int>(blocks_.size());
-  for (const auto& blk : blocks_) {
-    if (blk.low_rank) {
-      ++stats_.num_lowrank_blocks;
-      stats_.memory_bytes += blk.lr.bytes();
-      stats_.max_block_rank = std::max(stats_.max_block_rank, blk.lr.rank());
-    } else {
-      ++stats_.num_dense_blocks;
-      stats_.memory_bytes += blk.dense.bytes();
-    }
-  }
 }
 
 HMatrix::HMatrix(int n, double lambda, std::vector<HBlock> blocks)
@@ -188,8 +176,30 @@ HMatrix::HMatrix(int n, double lambda, std::vector<HBlock> blocks)
                        << blk.dense.rows() << " x " << blk.dense.cols()
                        << " for a span of " << blk.row_hi - blk.row_lo
                        << " x " << blk.col_hi - blk.col_lo);
+    } else {
+      KHSS_REQUIRE(blk.lr.u.rows() == blk.row_hi - blk.row_lo &&
+                       blk.lr.v.rows() == blk.col_hi - blk.col_lo &&
+                       blk.lr.u.cols() == blk.lr.v.cols(),
+                   "HMatrix restore: low-rank block " << id << " has U "
+                       << blk.lr.u.rows() << " x " << blk.lr.u.cols()
+                       << " and V " << blk.lr.v.rows() << " x "
+                       << blk.lr.v.cols() << " for a span of "
+                       << blk.row_hi - blk.row_lo << " x "
+                       << blk.col_hi - blk.col_lo);
     }
   }
+  finalize();
+}
+
+namespace {
+
+// Output row tiles close at the first block row boundary at least this many
+// rows past their start.
+constexpr int kTileRows = 128;
+
+}  // namespace
+
+void HMatrix::finalize() {
   stats_ = HStats{};
   stats_.num_blocks = static_cast<int>(blocks_.size());
   for (const auto& blk : blocks_) {
@@ -202,55 +212,47 @@ HMatrix::HMatrix(int n, double lambda, std::vector<HBlock> blocks)
       stats_.memory_bytes += blk.dense.bytes();
     }
   }
-}
 
-namespace {
-
-// out(rows of blk) += blk * x(cols of blk), restricted to columns [c0, c1).
-void apply_block(const HBlock& blk, const la::Matrix& x, la::Matrix& out,
-                 int c0, int c1) {
-  const int nc = c1 - c0;
-  if (blk.low_rank) {
-    const int k = blk.lr.rank();
-    if (k == 0) return;
-    // tmp = V^T * x(cols, c0:c1)
-    la::Matrix tmp(k, nc);
-    for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
-      const double* xrow = x.row(blk.col_lo + j) + c0;
-      const double* vrow = blk.lr.v.row(j);
-      for (int t = 0; t < k; ++t) {
-        const double vjt = vrow[t];
-        if (vjt == 0.0) continue;
-        double* trow = tmp.row(t);
-        for (int c = 0; c < nc; ++c) trow[c] += vjt * xrow[c];
-      }
-    }
-    // out(rows, c0:c1) += U * tmp
-    for (int i = 0; i < blk.row_hi - blk.row_lo; ++i) {
-      double* orow = out.row(blk.row_lo + i) + c0;
-      const double* urow = blk.lr.u.row(i);
-      for (int t = 0; t < k; ++t) {
-        const double uit = urow[t];
-        if (uit == 0.0) continue;
-        const double* trow = tmp.row(t);
-        for (int c = 0; c < nc; ++c) orow[c] += uit * trow[c];
-      }
-    }
-  } else {
-    for (int i = 0; i < blk.row_hi - blk.row_lo; ++i) {
-      double* orow = out.row(blk.row_lo + i) + c0;
-      const double* drow = blk.dense.row(i);
-      for (int j = 0; j < blk.col_hi - blk.col_lo; ++j) {
-        const double dij = drow[j];
-        if (dij == 0.0) continue;
-        const double* xrow = x.row(blk.col_lo + j) + c0;
-        for (int c = 0; c < nc; ++c) orow[c] += dij * xrow[c];
-      }
+  // Row tiles: runs of block row boundaries, so a block splits across tiles
+  // only where it is larger than a tile.
+  std::vector<int> cuts = {n_};
+  for (const auto& blk : blocks_) {
+    cuts.push_back(blk.row_lo);
+    cuts.push_back(blk.row_hi);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  tile_lo_.assign(1, 0);
+  for (const int c : cuts) {
+    if (c >= tile_lo_.back() + kTileRows || (c == n_ && c > tile_lo_.back())) {
+      tile_lo_.push_back(c);
     }
   }
-}
+  const int ntiles = static_cast<int>(tile_lo_.size()) - 1;
 
-}  // namespace
+  // Per-tile block lists in sorted block order, flattened.
+  std::vector<std::vector<int>> lists(ntiles);
+  vtx_row_.assign(blocks_.size(), -1);
+  vtx_rows_ = 0;
+  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+    const HBlock& blk = blocks_[b];
+    if (blk.low_rank) {
+      vtx_row_[b] = vtx_rows_;
+      vtx_rows_ += blk.lr.rank();
+    }
+    const auto first = std::upper_bound(tile_lo_.begin(), tile_lo_.end(),
+                                        blk.row_lo) - tile_lo_.begin() - 1;
+    for (int t = static_cast<int>(first);
+         t < ntiles && tile_lo_[t] < blk.row_hi; ++t) {
+      lists[t].push_back(static_cast<int>(b));
+    }
+  }
+  tile_ptr_.assign(1, 0);
+  tile_blocks_.clear();
+  for (const auto& list : lists) {
+    tile_blocks_.insert(tile_blocks_.end(), list.begin(), list.end());
+    tile_ptr_.push_back(static_cast<int>(tile_blocks_.size()));
+  }
+}
 
 la::Matrix HMatrix::multiply(const la::Matrix& x) const {
   KHSS_REQUIRE(x.rows() == n_, "HMatrix::multiply: x has " << x.rows()
@@ -258,28 +260,51 @@ la::Matrix HMatrix::multiply(const la::Matrix& x) const {
                                    << n_);
   const int s = x.cols();
   la::Matrix out(n_, s);
+  if (s == 0) return out;
 
-  const int threads = util::max_threads();
-  if (s >= 4 && s >= threads / 2) {
-    // Column-sliced parallelism: disjoint output columns, no contention.
-    const int chunks = std::min(threads, s);
-#pragma omp parallel for schedule(static)
-    for (int c = 0; c < chunks; ++c) {
-      const int c0 = static_cast<int>(static_cast<long>(c) * s / chunks);
-      const int c1 = static_cast<int>(static_cast<long>(c + 1) * s / chunks);
-      for (const auto& blk : blocks_) apply_block(blk, x, out, c0, c1);
-    }
-  } else {
-    // Few columns: parallelize over blocks with per-thread accumulators.
-#pragma omp parallel
-    {
-      la::Matrix local(n_, s);
-#pragma omp for schedule(dynamic, 8) nowait
-      for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        apply_block(blocks_[b], x, local, 0, s);
+  // Every output entry is a fixed sequence of packed-GEMM updates: entry
+  // (i, c) adds the blocks covering row i in sorted block order, each block
+  // contributing a product that reads row i of the block and column c of X
+  // (or of V^T X) only.  The packed core's per-entry arithmetic is
+  // independent of how many rows and columns share a call, so neither the
+  // thread count nor the column count can change any bit.
+
+  // Phase 1: V^T X for every low-rank block.
+  la::Matrix vtx(vtx_rows_, s);
+  const int nblocks = static_cast<int>(blocks_.size());
+#pragma omp parallel for schedule(dynamic, 1)
+  for (int b = 0; b < nblocks; ++b) {
+    const HBlock& blk = blocks_[b];
+    if (!blk.low_rank) continue;
+    const int k = blk.lr.rank();
+    la::detail::gemm_packed_serial(k, s, blk.col_hi - blk.col_lo, 1.0,
+                                   blk.lr.v.data(), k, /*ta=*/true,
+                                   x.row(blk.col_lo), s, /*tb=*/false,
+                                   vtx.row(vtx_row_[b]), s);
+  }
+
+  // Phase 2: each output row tile accumulates its blocks' products.
+  const int ntiles = static_cast<int>(tile_lo_.size()) - 1;
+#pragma omp parallel for schedule(dynamic, 1)
+  for (int t = 0; t < ntiles; ++t) {
+    for (int p = tile_ptr_[t]; p < tile_ptr_[t + 1]; ++p) {
+      const int b = tile_blocks_[p];
+      const HBlock& blk = blocks_[b];
+      const int r0 = std::max(tile_lo_[t], blk.row_lo);
+      const int r1 = std::min(tile_lo_[t + 1], blk.row_hi);
+      if (blk.low_rank) {
+        const int k = blk.lr.rank();
+        la::detail::gemm_packed_serial(r1 - r0, s, k, 1.0,
+                                       blk.lr.u.row(r0 - blk.row_lo), k,
+                                       false, vtx.row(vtx_row_[b]), s, false,
+                                       out.row(r0), s);
+      } else {
+        const int nc = blk.col_hi - blk.col_lo;
+        la::detail::gemm_packed_serial(r1 - r0, s, nc, 1.0,
+                                       blk.dense.row(r0 - blk.row_lo), nc,
+                                       false, x.row(blk.col_lo), s, false,
+                                       out.row(r0), s);
       }
-#pragma omp critical(hmat_matvec_reduce)
-      out.add(local);
     }
   }
 

@@ -76,7 +76,9 @@ class HMatrix {
 
   int n() const { return n_; }
 
-  /// Y = (K_H + lambda I) X.  OpenMP-parallel.
+  /// Y = (K_H + lambda I) X.  OpenMP-parallel, every block product on the
+  /// packed GEMM core.  Bit-identical at any thread count, and column j of
+  /// the result equals multiply(X(:, j)) for any column split.
   la::Matrix multiply(const la::Matrix& x) const;
 
   /// y = (K_H + lambda I) x.
@@ -95,11 +97,25 @@ class HMatrix {
  private:
   void build(const kernel::KernelMatrix& kernel,
              const cluster::ClusterTree& tree, const HOptions& opts);
+  /// Recompute stats_ (all but build_seconds) and the multiply() tiling
+  /// from blocks_.
+  void finalize();
 
   int n_ = 0;
   double lambda_ = 0.0;
   std::vector<HBlock> blocks_;
   HStats stats_;
+
+  // multiply() tiling, a function of the block layout alone.  Output row
+  // tile t spans rows [tile_lo_[t], tile_lo_[t + 1]) and accumulates the
+  // blocks tile_blocks_[tile_ptr_[t] .. tile_ptr_[t + 1]) in sorted block
+  // order.  Low-rank block b stores its V^T X product at row vtx_row_[b]
+  // of a vtx_rows_ x s scratch.
+  std::vector<int> tile_lo_;
+  std::vector<int> tile_ptr_;
+  std::vector<int> tile_blocks_;
+  std::vector<int> vtx_row_;
+  int vtx_rows_ = 0;
 };
 
 }  // namespace khss::hmat

@@ -27,26 +27,28 @@ void reverse_cols(Matrix& a) {
 
 }  // namespace
 
-QRFactor::QRFactor(Matrix a) : a_(std::move(a)) {
-  const int m = a_.rows(), n = a_.cols();
+QRFactor::QRFactor(Matrix a) : at_(a.transposed()) {
+  const int m = rows(), n = cols();
   const int k = m < n ? m : n;
   tau_.assign(k, 0.0);
 
   for (int j = 0; j < k; ++j) {
-    // Build the Householder reflector for column j, rows j..m-1.
+    // Build the Householder reflector for column j (row j of at_), entries
+    // j..m-1.
+    double* vj = at_.row(j);
     double norm = 0.0;
-    for (int i = j; i < m; ++i) norm += a_(i, j) * a_(i, j);
+    for (int i = j; i < m; ++i) norm += vj[i] * vj[i];
     norm = std::sqrt(norm);
     if (norm == 0.0) {
       tau_[j] = 0.0;
       continue;
     }
-    const double alpha = a_(j, j) >= 0 ? -norm : norm;
-    const double v0 = a_(j, j) - alpha;
-    // Normalize so v(j) = 1; store v(j+1..) below the diagonal.
-    for (int i = j + 1; i < m; ++i) a_(i, j) /= v0;
+    const double alpha = vj[j] >= 0 ? -norm : norm;
+    const double v0 = vj[j] - alpha;
+    // Normalize so v(j) = 1; store v(j+1..) past the diagonal.
+    for (int i = j + 1; i < m; ++i) vj[i] /= v0;
     tau_[j] = -v0 / alpha;  // = 2 / (v^T v) with v(j) = 1 scaling
-    a_(j, j) = alpha;
+    vj[j] = alpha;
 
     // Apply (I - tau v v^T) to the trailing columns.  Columns are
     // independent (each reads the shared reflector, writes its own column),
@@ -55,74 +57,92 @@ QRFactor::QRFactor(Matrix a) : a_(std::move(a)) {
 #pragma omp parallel for schedule(static) \
     if (static_cast<long>(n - j) * (m - j) > 16384)
     for (int c = j + 1; c < n; ++c) {
-      double s = a_(j, c);
-      for (int i = j + 1; i < m; ++i) s += a_(i, j) * a_(i, c);
+      double* ac = at_.row(c);
+      double s = ac[j];
+      for (int i = j + 1; i < m; ++i) s += vj[i] * ac[i];
       s *= tj;
-      a_(j, c) -= s;
-      for (int i = j + 1; i < m; ++i) a_(i, c) -= s * a_(i, j);
+      ac[j] -= s;
+      for (int i = j + 1; i < m; ++i) ac[i] -= s * vj[i];
     }
   }
 }
 
 Matrix QRFactor::r() const {
-  const int m = a_.rows(), n = a_.cols();
+  const int m = rows(), n = cols();
   const int k = m < n ? m : n;
   Matrix out(k, n);
   for (int i = 0; i < k; ++i) {
-    for (int j = i; j < n; ++j) out(i, j) = a_(i, j);
+    for (int j = i; j < n; ++j) out(i, j) = at_(j, i);
   }
   return out;
 }
 
-void QRFactor::apply_qt(Matrix& b) const {
-  // Q^T = H_{k-1} ... H_1 H_0.  Each column of B runs the whole reflector
-  // chain independently, so the multi-RHS parallel split is over columns
+namespace {
+
+// Columns of B per work item of the reflector sweeps below.
+constexpr int kApplyCols = 32;
+
+}  // namespace
+
+void QRFactor::apply_reflectors(Matrix& b, bool transpose) const {
+  // Each column of B runs the whole reflector chain with the same
+  // accumulation order as a column-at-a-time sweep; B is walked by rows so
+  // the inner loops run over contiguous column chunks.  Chunks are
+  // independent, so the parallel split over them cannot change any bits
   // (tau == 0 reflectors are identity and skipped — semantic, not a perf
   // branch).
-  KHSS_REQUIRE(b.rows() == a_.rows(),
-               "QRFactor::apply_qt: B has " << b.rows()
-                   << " rows; Q is " << a_.rows() << " x " << a_.rows());
-  const int m = a_.rows(), nrhs = b.cols();
+  const int m = rows(), nrhs = b.cols();
   const int k = static_cast<int>(tau_.size());
+  const int chunks = (nrhs + kApplyCols - 1) / kApplyCols;
 #pragma omp parallel for schedule(static) \
-    if (nrhs > 4 && static_cast<long>(m) * k > 16384)
-  for (int c = 0; c < nrhs; ++c) {
-    for (int j = 0; j < k; ++j) {
+    if (chunks > 1 && static_cast<long>(m) * k > 16384)
+  for (int ch = 0; ch < chunks; ++ch) {
+    const int c0 = ch * kApplyCols;
+    const int nc = nrhs - c0 < kApplyCols ? nrhs - c0 : kApplyCols;
+    double w[kApplyCols] = {};
+    for (int step = 0; step < k; ++step) {
+      const int j = transpose ? step : k - 1 - step;
       const double t = tau_[j];
       if (t == 0.0) continue;
-      double s = b(j, c);
-      for (int i = j + 1; i < m; ++i) s += a_(i, j) * b(i, c);
-      s *= t;
-      b(j, c) -= s;
-      for (int i = j + 1; i < m; ++i) b(i, c) -= s * a_(i, j);
+      const double* v = at_.row(j);
+      double* bj = b.row(j) + c0;
+      for (int c = 0; c < nc; ++c) w[c] = bj[c];
+      for (int i = j + 1; i < m; ++i) {
+        const double vi = v[i];
+        const double* bi = b.row(i) + c0;
+        for (int c = 0; c < nc; ++c) w[c] += vi * bi[c];
+      }
+      for (int c = 0; c < nc; ++c) {
+        w[c] *= t;
+        bj[c] -= w[c];
+      }
+      for (int i = j + 1; i < m; ++i) {
+        const double vi = v[i];
+        double* bi = b.row(i) + c0;
+        for (int c = 0; c < nc; ++c) bi[c] -= w[c] * vi;
+      }
     }
   }
+}
+
+void QRFactor::apply_qt(Matrix& b) const {
+  // Q^T = H_{k-1} ... H_1 H_0.
+  KHSS_REQUIRE(b.rows() == rows(),
+               "QRFactor::apply_qt: B has " << b.rows()
+                   << " rows; Q is " << rows() << " x " << rows());
+  apply_reflectors(b, /*transpose=*/true);
 }
 
 void QRFactor::apply_q(Matrix& b) const {
-  // Q = H_0 H_1 ... H_{k-1}; reflectors in reverse order, columns parallel.
-  KHSS_REQUIRE(b.rows() == a_.rows(),
+  // Q = H_0 H_1 ... H_{k-1}: reflectors in reverse order.
+  KHSS_REQUIRE(b.rows() == rows(),
                "QRFactor::apply_q: B has " << b.rows()
-                   << " rows; Q is " << a_.rows() << " x " << a_.rows());
-  const int m = a_.rows(), nrhs = b.cols();
-  const int k = static_cast<int>(tau_.size());
-#pragma omp parallel for schedule(static) \
-    if (nrhs > 4 && static_cast<long>(m) * k > 16384)
-  for (int c = 0; c < nrhs; ++c) {
-    for (int j = k - 1; j >= 0; --j) {
-      const double t = tau_[j];
-      if (t == 0.0) continue;
-      double s = b(j, c);
-      for (int i = j + 1; i < m; ++i) s += a_(i, j) * b(i, c);
-      s *= t;
-      b(j, c) -= s;
-      for (int i = j + 1; i < m; ++i) b(i, c) -= s * a_(i, j);
-    }
-  }
+                   << " rows; Q is " << rows() << " x " << rows());
+  apply_reflectors(b, /*transpose=*/false);
 }
 
 Matrix QRFactor::q_thin() const {
-  const int m = a_.rows(), n = a_.cols();
+  const int m = rows(), n = cols();
   const int k = m < n ? m : n;
   Matrix q(m, k);
   for (int i = 0; i < k; ++i) q(i, i) = 1.0;
@@ -131,7 +151,7 @@ Matrix QRFactor::q_thin() const {
 }
 
 Matrix QRFactor::q_full() const {
-  Matrix q = Matrix::identity(a_.rows());
+  Matrix q = Matrix::identity(rows());
   apply_q(q);
   return q;
 }

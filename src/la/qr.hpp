@@ -16,8 +16,8 @@ class QRFactor {
   /// Factor A (copied).
   explicit QRFactor(Matrix a);
 
-  int rows() const { return a_.rows(); }
-  int cols() const { return a_.cols(); }
+  int rows() const { return at_.cols(); }
+  int cols() const { return at_.rows(); }
 
   /// R as an explicit min(m,n) x n upper-triangular matrix.
   Matrix r() const;
@@ -31,11 +31,18 @@ class QRFactor {
   /// B <- Q^T B (B has m rows).
   void apply_qt(Matrix& b) const;
 
-  /// B <- Q B (B has m rows).
+  /// B <- Q B (B has m rows).  Applying Q to [C; 0] yields Q_thin C without
+  /// forming Q_thin.
   void apply_q(Matrix& b) const;
 
  private:
-  Matrix a_;                 // Householder vectors below diagonal; R on/above.
+  // B <- Q^T B (transpose) or B <- Q B.
+  void apply_reflectors(Matrix& b, bool transpose) const;
+
+  // A^T, factored in place (n x m): row j holds column j of the factored
+  // A — R(0..j, j) in its first j+1 entries and Householder vector j past
+  // the diagonal — so reflectors and trailing columns are contiguous.
+  Matrix at_;
   std::vector<double> tau_;  // reflector coefficients
 };
 

@@ -7,6 +7,7 @@
 #include "la/blas.hpp"
 #include "la/qr.hpp"
 #include "util/rng.hpp"
+#include "util/threads.hpp"
 
 namespace hm = khss::hmat;
 namespace la = khss::la;
@@ -153,6 +154,92 @@ TEST(Recompress, NoopOnTightRank) {
   hm::recompress(&lr, 1e-12);
   EXPECT_LE(lr.rank(), before);
   EXPECT_LT(la::diff_f(lr.dense(), a), 1e-6 * (1.0 + la::norm_f(a)));
+}
+
+namespace {
+
+// U V^T with singular values sigma_i = decay^i exactly (Qu, Qv orthonormal),
+// spread over k factor columns by a random orthogonal mix so neither factor
+// is orthogonal itself — the shape of an ACA result on a tall block.
+hm::LowRank mixed_lowrank(int m, int n, int k, double decay,
+                          std::uint64_t seed) {
+  la::Matrix qu = la::QRFactor(random_matrix(m, k, seed)).q_thin();
+  la::Matrix qv = la::QRFactor(random_matrix(n, k, seed + 1)).q_thin();
+  la::Matrix mix = la::QRFactor(random_matrix(k, k, seed + 2)).q_thin();
+  double sigma = 1.0;
+  for (int j = 0; j < k; ++j, sigma *= decay) {
+    for (int i = 0; i < m; ++i) qu(i, j) *= sigma;
+  }
+  hm::LowRank lr;
+  lr.u = la::matmul(qu, mix);
+  lr.v = la::matmul(qv, mix);
+  return lr;
+}
+
+void expect_bits_equal(const la::Matrix& a, const la::Matrix& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i]) << "entry " << i;
+  }
+}
+
+struct TallCase {
+  int m, n, k;
+  double decay, rtol;
+};
+
+}  // namespace
+
+// Tall factors with ACA ranks up to the speculative cap: the truncation
+// meets rtol in the Frobenius norm and never raises the rank.
+TEST(Recompress, TallFactorsMeetToleranceWithoutRankGrowth) {
+  const TallCase cases[] = {{5000, 600, 96, 0.8, 1e-2},
+                            {5000, 300, 96, 0.8, 1e-6},
+                            {2000, 500, 48, 0.7, 1e-4},
+                            {700, 2000, 17, 0.5, 1e-2},
+                            {3000, 128, 64, 0.95, 1e-1}};
+  std::uint64_t seed = 300;
+  for (const TallCase& tc : cases) {
+    hm::LowRank lr = mixed_lowrank(tc.m, tc.n, tc.k, tc.decay, seed += 10);
+    const la::Matrix before = lr.dense();
+    hm::recompress(&lr, tc.rtol);
+    EXPECT_LE(lr.rank(), tc.k) << tc.m << "x" << tc.n << " k=" << tc.k;
+    EXPECT_LT(lr.rank(), tc.k) << "geometric decay leaves room to truncate";
+    EXPECT_EQ(lr.u.rows(), tc.m);
+    EXPECT_EQ(lr.v.rows(), tc.n);
+    EXPECT_LE(la::diff_f(lr.dense(), before), tc.rtol * la::norm_f(before))
+        << tc.m << "x" << tc.n << " k=" << tc.k << " rtol=" << tc.rtol;
+  }
+}
+
+// recompress() is bit-identical at 1 and 4 threads and when it runs inside
+// an OpenMP task (how the H build calls it).
+TEST(Recompress, BitIdenticalAcrossThreadsAndTasks) {
+  const hm::LowRank input = mixed_lowrank(5000, 400, 96, 0.85, 77);
+  auto run = [&input](int threads) {
+    khss::util::set_threads(threads);
+    hm::LowRank lr = input;
+    hm::recompress(&lr, 1e-3);
+    return lr;
+  };
+  const hm::LowRank serial = run(1);
+  const hm::LowRank parallel = run(4);
+  ASSERT_LT(serial.rank(), input.rank());
+  expect_bits_equal(serial.u, parallel.u);
+  expect_bits_equal(serial.v, parallel.v);
+
+  hm::LowRank in_task = input;
+#pragma omp parallel num_threads(4)
+  {
+#pragma omp single
+    {
+#pragma omp task shared(in_task)
+      hm::recompress(&in_task, 1e-3);
+    }
+  }
+  expect_bits_equal(serial.u, in_task.u);
+  expect_bits_equal(serial.v, in_task.v);
+  khss::util::set_threads(khss::util::hardware_threads());
 }
 
 TEST(LowRank, BytesAccounting) {

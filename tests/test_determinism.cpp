@@ -1,8 +1,9 @@
 // Regression tests pinning bit-reproducibility: the RNG stream for a fixed
 // seed, randomized HSS construction run-to-run under full threading (guards
 // the atomic-read fix on the shared `failed` flag in hss/build.cpp's
-// parallel level loop), the promoted solver backends (HODLR/SMW, Nystrom)
-// end-to-end through KRRModel, and the batched serving path
+// parallel level loop), the promoted solver backends (HODLR/SMW, Nystrom,
+// PCG on the H operator) end-to-end through KRRModel, the H-matrix product
+// across thread counts and column splits, and the batched serving path
 // (predict::BatchPredictor): scores must be bit-identical for any panel
 // size, mini-batch split and thread count.
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 
 #include "cluster/ordering.hpp"
 #include "data/synthetic.hpp"
+#include "hmat/hmatrix.hpp"
 #include "hss/build.hpp"
 #include "hss/ulv.hpp"
 #include "kernel/kernel.hpp"
@@ -212,6 +214,12 @@ TEST(Determinism, HodlrSmwBackendRunToRun) {
   expect_weights_identical(khss::krr::SolverBackend::kHODLR_SMW);
 }
 
+// PCG on the H operator: every iteration's matvec goes through
+// HMatrix::multiply with one column.
+TEST(Determinism, IterativeHssBackendRunToRun) {
+  expect_weights_identical(khss::krr::SolverBackend::kIterativeHSSPrecond);
+}
+
 TEST(Determinism, NystromBackendRunToRun) {
   expect_weights_identical(khss::krr::SolverBackend::kNystrom);
 }
@@ -356,6 +364,54 @@ TEST(Determinism, HssMatvecThreadAndRhsSplitInvariant) {
     la::Vector yc = fx.hss.matvec(xc);
     for (int i = 0; i < n; ++i) EXPECT_EQ(yp(i, j), yc[i]) << "col " << j;
   }
+}
+
+// H-matrix sampling operator: the product must be bit-identical at 1, 2 and
+// 4 threads for any column count (the few-column path once summed
+// per-thread partials in arrival order), and column j of H X must equal
+// H X(:, j) computed alone.
+TEST(Determinism, HMatrixMultiplyThreadAndColumnSplitInvariant) {
+  util::Rng rng(5);
+  khss::data::BlobSpec spec;
+  spec.n = 1200;
+  spec.dim = 3;
+  spec.num_classes = 4;
+  auto ds = khss::data::make_blobs(spec, rng);
+  cl::OrderingOptions copts;
+  copts.leaf_size = 32;
+  cl::ClusterTree tree =
+      cl::build_cluster_tree(ds.points, cl::OrderingMethod::kTwoMeans, copts);
+  kn::KernelMatrix kernel(
+      cl::apply_row_permutation(ds.points, tree.perm()),
+      kn::KernelParams{kn::KernelType::kGaussian, 1.0, 2, 1.0}, 0.5);
+  khss::hmat::HOptions hopts;
+  hopts.rtol = 1e-6;
+  hopts.dense_block_cutoff = 32;
+  const khss::hmat::HMatrix h(kernel, tree, hopts);
+  ASSERT_GT(h.stats().num_lowrank_blocks, 0);
+  ASSERT_GT(h.stats().num_dense_blocks, 0);
+
+  const int n = h.n();
+  for (const int s : {1, 3, 64}) {
+    la::Matrix x(n, s);
+    util::Rng xrng(100 + s);
+    xrng.fill_normal(x.data(), x.size());
+    util::set_threads(1);
+    const la::Matrix ref = h.multiply(x);
+    for (const int threads : {2, 4}) {
+      util::set_threads(threads);
+      expect_matrices_identical(ref, h.multiply(x));
+    }
+    for (int j = 0; j < s; ++j) {
+      la::Vector xc(n);
+      for (int i = 0; i < n; ++i) xc[i] = x(i, j);
+      const la::Vector yc = h.multiply(xc);
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(ref(i, j), yc[i]) << "s " << s << " col " << j << " row " << i;
+      }
+    }
+  }
+  util::set_threads(util::hardware_threads());
 }
 
 namespace {

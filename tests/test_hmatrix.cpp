@@ -175,3 +175,35 @@ TEST(HMatrix, WorksWithNaturalOrderingToo) {
   la::Matrix ref = la::matmul(s.kernel->dense(), x);
   EXPECT_LT(la::diff_f(y, ref), 1e-4 * (1.0 + la::norm_f(ref)));
 }
+
+// Restoring from stored blocks rebuilds the same product tiling, so the
+// restored operator reproduces the original's bits.  Low-rank factors whose
+// shape disagrees with the block span are rejected before any product reads
+// past them.
+TEST(HMatrix, RestoreFromBlocksReproducesProductAndRejectsMisshapenFactors) {
+  HmCtx s = make_setup(400, 3, 1.0, 0.5, 14);
+  hm::HOptions opts;
+  opts.rtol = 1e-6;
+  opts.dense_block_cutoff = 16;
+  const hm::HMatrix h(*s.kernel, s.tree, opts);
+  ASSERT_GT(h.stats().num_lowrank_blocks, 0);
+
+  khss::util::Rng rng(15);
+  la::Matrix x(400, 5);
+  rng.fill_normal(x.data(), x.size());
+  const la::Matrix y = h.multiply(x);
+  const hm::HMatrix restored(h.n(), h.lambda(), h.blocks());
+  const la::Matrix yr = restored.multiply(x);
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    ASSERT_EQ(y.data()[i], yr.data()[i]) << "entry " << i;
+  }
+
+  std::vector<hm::HBlock> bad = h.blocks();
+  for (auto& blk : bad) {
+    if (!blk.low_rank) continue;
+    blk.lr.u = la::Matrix(blk.lr.u.rows() - 1, blk.lr.u.cols());
+    break;
+  }
+  EXPECT_THROW(hm::HMatrix(h.n(), h.lambda(), std::move(bad)),
+               std::invalid_argument);
+}

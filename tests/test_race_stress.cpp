@@ -29,6 +29,7 @@
 
 #include "cluster/ordering.hpp"
 #include "data/synthetic.hpp"
+#include "hmat/hmatrix.hpp"
 #include "hodlr/hodlr.hpp"
 #include "hss/build.hpp"
 #include "hss/ulv.hpp"
@@ -37,6 +38,7 @@
 #include "la/blas.hpp"
 #include "predict/batch_predictor.hpp"
 #include "util/rng.hpp"
+#include "util/threads.hpp"
 
 namespace cl = khss::cluster;
 namespace hd = khss::hodlr;
@@ -184,6 +186,40 @@ TEST(RaceHarness, ConcurrentHSSApply) {
       for (int i = 0; i < 384; ++i) {
         if (y[i] != y_ref[i]) ++mismatches[t];
         for (int j = 0; j < 3; ++j) {
+          if (ym(i, j) != ym_ref(i, j)) ++mismatches[t];
+        }
+      }
+    }
+  });
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+// Concurrent H-matrix products on one shared operator (the PCG matvec and
+// the HSS sampling path): every std::thread opens its own OpenMP team over
+// the two tiled phases, with one and several columns.  Each product must be
+// bit-identical to the serial reference.
+TEST(RaceHarness, ConcurrentHMatrixMultiply) {
+  Case c = make_case(768, 3, 1.0, 1.0, 19);
+  khss::hmat::HOptions hopts;
+  hopts.rtol = 1e-6;
+  hopts.dense_block_cutoff = 16;
+  const khss::hmat::HMatrix h(*c.kernel, c.tree, hopts);
+
+  const la::Vector v = random_vec(768, 33);
+  const la::Matrix m = random_mat(768, 6, 34);
+  khss::util::set_threads(1);
+  const la::Vector y_ref = h.multiply(v);
+  const la::Matrix ym_ref = h.multiply(m);
+  khss::util::set_threads(khss::util::hardware_threads());
+
+  std::vector<int> mismatches(kThreads, 0);
+  hammer([&](int t) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const la::Vector y = h.multiply(v);
+      const la::Matrix ym = h.multiply(m);
+      for (int i = 0; i < 768; ++i) {
+        if (y[i] != y_ref[i]) ++mismatches[t];
+        for (int j = 0; j < 6; ++j) {
           if (ym(i, j) != ym_ref(i, j)) ++mismatches[t];
         }
       }

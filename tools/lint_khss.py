@@ -40,6 +40,17 @@ Rules (ids used in tools/lint_allowlist.txt):
       the registry instead.  (Scope is src/ only: tests may enumerate
       families to pin registry behaviour.)
 
+  omp-critical-reduction
+      `#pragma omp critical` followed within 3 lines by `+=` or `.add(` in
+      src/.  A critical section serializes the threads but not their
+      order: partial sums folded in under it land in arrival order, so the
+      floating-point result changes with the thread count and from run to
+      run, breaking the bit-identical-across-thread-counts contract.
+      Reduce over a fixed, shape-only partition instead (each output tile
+      owned by one thread, its terms added in a fixed order).  Integer
+      counters are fine — allowlist them with the justification in a
+      comment.  (Scope is src/ only.)
+
 Allowlist format (tools/lint_allowlist.txt): one entry per line,
 
     rule-id|path/relative/to/repo|substring-of-offending-line
@@ -66,6 +77,7 @@ RULE_SCOPE = {
     "omp-no-schedule": SCAN_DIRS,
     "double-accumulation": ("src",),
     "kernel-type-switch": ("src",),
+    "omp-critical-reduction": ("src",),
 }
 
 NUMERIC_PARSE = re.compile(
@@ -77,6 +89,9 @@ OMP_PARALLEL_FOR = re.compile(r"#\s*pragma\s+omp\s.*\bparallel\b.*\bfor\b")
 DOUBLE_ACC_DECL = re.compile(r"\bdouble\s+(\w+)(?:\s*=\s*0(?:\.0*)?\s*[;,]|\s*=\s*0(?:\.0*)?\s*$)")
 ACC_WINDOW = 30  # lines after the declaration in which `x +=` counts
 KERNEL_TYPE_SWITCH = re.compile(r"\bcase\s+(?:\w+::)*KernelType::")
+OMP_CRITICAL = re.compile(r"#\s*pragma\s+omp\s+critical\b")
+CRITICAL_REDUCTION = re.compile(r"\+=|\.add\s*\(")
+CRITICAL_WINDOW = 3  # lines after the pragma in which a reduction counts
 
 
 def strip_comments(lines):
@@ -158,6 +173,11 @@ def scan_file(rel, raw):
                 os.path.join("src", "kernel") + os.sep):
             if KERNEL_TYPE_SWITCH.search(line):
                 findings.append(("kernel-type-switch", rel, no, text))
+        if in_scope("omp-critical-reduction") and OMP_CRITICAL.search(line):
+            for j in range(idx + 1, min(idx + 1 + CRITICAL_WINDOW, len(code))):
+                if CRITICAL_REDUCTION.search(code[j]):
+                    findings.append(("omp-critical-reduction", rel, no, text))
+                    break
         if in_scope("double-accumulation") and not rel.startswith(
                 os.path.join("src", "la") + os.sep):
             m = DOUBLE_ACC_DECL.search(line)
