@@ -6,14 +6,12 @@
 //
 // Measures the parallel engines — HSS matvec/matmat sweeps, ULV
 // factorization/solve, HODLR/SMW factorization/solve, H-matrix construction
-// and H * X sampling products — at one thread (the
-// serial baseline) and at every hardware thread, and reports the speedups
-// plus the per-phase split (elimination sweep vs root LU, forward vs
-// backward solve).  A second table pits the OpenMP task-DAG schedule (the
-// default for ULV factor and HSS matmat) against the retained
-// level-synchronous sweep at max threads.  With --json the numbers go to a
-// cross-PR perf trajectory (BENCH_hier.json, committed snapshot at the repo
-// root); CI runs this on a small fixed size and uploads the artifact.
+// and H * X sampling products — at one thread (the serial baseline) and at
+// every hardware thread, and reports the speedups plus the per-phase split
+// (elimination sweep vs root LU, forward vs backward solve).  With --json
+// the numbers go to a cross-PR perf trajectory (BENCH_hier.json, committed
+// snapshot at the repo root); CI runs this on a small fixed size and
+// uploads the artifact.
 //
 // Solutions are bit-identical across thread counts and RHS splits by
 // construction (pinned in tests/test_determinism.cpp), so the two columns
@@ -160,15 +158,11 @@ int main(int argc, char** argv) {
   util::Json jcombined = util::Json::array();
   util::Json jsmw_factor = util::Json::array();
   util::Json jsmw_solve = util::Json::array();
-  util::Json jfactor_sched = util::Json::array();
-  util::Json jmatmat_sched = util::Json::array();
   util::Json jhbuild = util::Json::array();
   util::Json jhmul = util::Json::array();
 
   util::Table tg({"kernel", "n", "t=1 s", "t=" + std::to_string(maxthreads) +
                   " s", "speedup"});
-  util::Table tsched(
-      {"kernel", "n", "level-sweep s", "task-dag s", "speedup"});
   auto add_row = [&](const std::string& name, int n, const Pair& p) {
     tg.add_row({name, std::to_string(n), util::Table::fmt(p.serial, 4),
                 util::Table::fmt(p.parallel, 4),
@@ -226,47 +220,6 @@ int main(int argc, char** argv) {
                        .set("root_seconds",
                             phase_run.stats().factor_root_seconds));
     }
-
-    // Task-DAG schedule (the default above) against the retained
-    // level-synchronous sweep, both at max threads — this row isolates what
-    // the depend-clause DAG buys over level barriers.  Bit-identical results
-    // (pinned in tests/test_ulv.cpp / test_determinism.cpp), same arithmetic.
-    util::set_threads(maxthreads);
-    const double fac_sweep = best_seconds(reps, [&] {
-      hss::ULVFactorization u(hssm, hss::ULVSchedule::kLevelSweep);
-      (void)u;
-    });
-    const double fac_dag = best_seconds(reps, [&] {
-      hss::ULVFactorization u(hssm, hss::ULVSchedule::kTaskDag);
-      (void)u;
-    });
-    tsched.add_row({"ulv_factor", std::to_string(n),
-                    util::Table::fmt(fac_sweep, 4),
-                    util::Table::fmt(fac_dag, 4),
-                    util::Table::fmt(
-                        fac_dag > 0.0 ? fac_sweep / fac_dag : 0.0, 2)});
-    jfactor_sched.push(
-        util::Json::object()
-            .set("n", static_cast<long>(n))
-            .set("level_sweep_seconds", fac_sweep)
-            .set("task_dag_seconds", fac_dag)
-            .set("speedup", fac_dag > 0.0 ? fac_sweep / fac_dag : 0.0));
-    const double mm_sweep = best_seconds(reps, [&] {
-      la::Matrix y = hssm.matmat(xm, hss::SweepSchedule::kLevelSweep);
-    });
-    const double mm_dag = best_seconds(reps, [&] {
-      la::Matrix y = hssm.matmat(xm, hss::SweepSchedule::kTaskDag);
-    });
-    tsched.add_row({"hss_matmat_" + std::to_string(nrhs), std::to_string(n),
-                    util::Table::fmt(mm_sweep, 4), util::Table::fmt(mm_dag, 4),
-                    util::Table::fmt(mm_dag > 0.0 ? mm_sweep / mm_dag : 0.0,
-                                     2)});
-    jmatmat_sched.push(
-        util::Json::object()
-            .set("n", static_cast<long>(n))
-            .set("level_sweep_seconds", mm_sweep)
-            .set("task_dag_seconds", mm_dag)
-            .set("speedup", mm_dag > 0.0 ? mm_sweep / mm_dag : 0.0));
 
     // Level-parallel solve: single RHS and the multi-RHS block (the
     // one-vs-all shape), routed through the packed gemm core.
@@ -359,8 +312,6 @@ int main(int argc, char** argv) {
   tg.print(std::cout, "hierarchical tier, 1 thread vs " +
                           std::to_string(maxthreads) + " (best of " +
                           std::to_string(reps) + ")");
-  tsched.print(std::cout, "task-DAG vs level-sweep schedule at " +
-                              std::to_string(maxthreads) + " threads");
 
   doc.set("hss_build", std::move(jbuild));
   doc.set("hss_matvec", std::move(jmatvec));
@@ -369,8 +320,6 @@ int main(int argc, char** argv) {
   doc.set("ulv_solve_rhs1", std::move(jsolve1));
   doc.set("ulv_solve_multi", std::move(jsolvek));
   doc.set("ulv_factor_solve", std::move(jcombined));
-  doc.set("ulv_factor_schedule", std::move(jfactor_sched));
-  doc.set("hss_matmat_schedule", std::move(jmatmat_sched));
   doc.set("smw_factor", std::move(jsmw_factor));
   doc.set("smw_solve", std::move(jsmw_solve));
   doc.set("hmat_build", std::move(jhbuild));

@@ -27,8 +27,7 @@ std::vector<HSSNode> skeleton_from_tree(const cluster::ClusterTree& tree) {
   return nodes;
 }
 
-la::Matrix HSSMatrix::matmat(const la::Matrix& x,
-                             SweepSchedule schedule) const {
+la::Matrix HSSMatrix::matmat(const la::Matrix& x) const {
   KHSS_REQUIRE(x.rows() == n_, "HSSMatrix::matmat: x has "
                                    << x.rows() << " rows; expected n = "
                                    << n_);
@@ -36,13 +35,13 @@ la::Matrix HSSMatrix::matmat(const la::Matrix& x,
   la::Matrix y(n_, s);
   if (nodes_.empty()) return y;
 
-  // Per-node work, shared by both engines (see DESIGN.md "Parallel
-  // hierarchical solve"): a node touches only its own slot and its
-  // children's (up sweep), the slot its parent wrote (down sweep), or its
-  // own disjoint rows of y (leaf pass) — so independent nodes may run in
-  // any order and the result is bit-identical for every thread count and
-  // schedule.  Blocks route through la::gemm_rhs_invariant so matvec()
-  // columns match matmat() columns bit-for-bit under any RHS split.
+  // Per-node work (see DESIGN.md "Parallel hierarchical solve"): a node
+  // touches only its own slot and its children's (up sweep), the slot its
+  // parent wrote (down sweep), or its own disjoint rows of y (leaf pass) —
+  // so the nodes of one level may run in any order and the result is
+  // bit-identical for every thread count.  Blocks route through
+  // la::gemm_rhs_invariant so matvec() columns match matmat() columns
+  // bit-for-bit under any RHS split.
   std::vector<la::Matrix> xt(nodes_.size());  // up: xt[i] = V_i^T x(I_i)
   std::vector<la::Matrix> f(nodes_.size());   // down: U-side inflow at i
 
@@ -94,63 +93,7 @@ la::Matrix HSSMatrix::matmat(const la::Matrix& x,
     y.set_block(nd.lo, 0, yloc);
   };
 
-  if (schedule == SweepSchedule::kTaskDag) {
-    // Task-DAG engine: up tasks chain child -> parent, down tasks chain
-    // parent -> child and read the children's up results, leaf tasks read
-    // their own down inflow.  Dependences are sentinel bytes per node;
-    // OpenMP only orders a task against dependences of previously created
-    // tasks, so creation order matters: up tasks in postorder (children
-    // first), down tasks in reverse postorder (parents first), leaf tasks
-    // last.  A subtree's leaf pass can finish while another subtree is
-    // still sweeping up — no per-depth barrier anywhere.
-    std::vector<char> up(nodes_.size(), 0);
-    std::vector<char> down(nodes_.size(), 0);
-    // [[maybe_unused]]: the only uses are inside depend clauses, which the
-    // compiler's use-tracking does not see.
-    char* updep [[maybe_unused]] = up.data();
-    char* downdep [[maybe_unused]] = down.data();
-#pragma omp parallel default(shared)
-#pragma omp single
-    {
-      for (const int id : postorder_) {
-        if (id == root()) continue;
-        const HSSNode& nd = nodes_[id];
-        if (nd.is_leaf()) {
-#pragma omp task default(shared) firstprivate(id) depend(out : updep[id])
-          up_node(id);
-        } else {
-          const int l = nd.left;
-          const int r = nd.right;
-#pragma omp task default(shared) firstprivate(id) \
-    depend(in : updep[l], updep[r]) depend(out : updep[id])
-          up_node(id);
-        }
-      }
-      for (auto it = postorder_.rbegin(); it != postorder_.rend(); ++it) {
-        const int id = *it;
-        const HSSNode& nd = nodes_[id];
-        if (nd.is_leaf()) continue;
-        const int l = nd.left;
-        const int r = nd.right;
-        // f[id] comes from the parent's down task, created earlier in this
-        // reverse-postorder walk; the root has no producer, so its
-        // in-dependence is vacuous.
-#pragma omp task default(shared) firstprivate(id)          \
-    depend(in : updep[l], updep[r], downdep[id])           \
-    depend(out : downdep[l], downdep[r])
-        down_node(id);
-      }
-      for (const int id : postorder_) {
-        if (!nodes_[id].is_leaf()) continue;
-#pragma omp task default(shared) firstprivate(id) depend(in : downdep[id])
-        leaf_node(id);
-      }
-    }
-    return y;
-  }
-
-  // Level-synchronous engine: bottom-up levels, top-down levels, leaf pass,
-  // with a barrier per depth.
+  // Bottom-up levels, top-down levels, leaf pass, with a barrier per depth.
   for (const auto& level : levels_) {
 #pragma omp parallel for schedule(dynamic) if (level.size() > 1)
     for (std::size_t t = 0; t < level.size(); ++t) up_node(level[t]);

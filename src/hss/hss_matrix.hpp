@@ -51,14 +51,6 @@ struct HSSStats {
   double sampling_seconds = 0.0;  // portion spent in A*R products
 };
 
-/// Parallel schedule of the matmat up/down sweeps.  Both engines produce
-/// bit-identical results (the per-node work is a fixed serial sequence;
-/// only the order independent nodes run in differs).
-enum class SweepSchedule {
-  kLevelSweep,  // barrier per tree depth (legacy engine)
-  kTaskDag,     // omp task depend across the up -> down -> leaf chain
-};
-
 class HSSMatrix {
  public:
   HSSMatrix() = default;
@@ -75,14 +67,9 @@ class HSSMatrix {
   /// y = A_hss * x  (up-down sweep; O(r n)).
   la::Vector matvec(const la::Vector& x) const;
 
-  /// Y = A_hss * X for multiple vectors.
-  la::Matrix matmat(const la::Matrix& x) const {
-    return matmat(x, SweepSchedule::kTaskDag);
-  }
-
-  /// Y = A_hss * X with an explicit sweep schedule (bit-identical results;
-  /// benches and determinism pins compare the two engines).
-  la::Matrix matmat(const la::Matrix& x, SweepSchedule schedule) const;
+  /// Y = A_hss * X for multiple vectors (level-synchronous up/down sweeps;
+  /// bit-identical for every thread count).
+  la::Matrix matmat(const la::Matrix& x) const;
 
   /// Add delta to every diagonal entry (leaf D blocks): the O(n) lambda
   /// update of Section 5.3 — no recompression needed.

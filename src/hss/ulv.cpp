@@ -10,8 +10,7 @@
 
 namespace khss::hss {
 
-ULVFactorization::ULVFactorization(const HSSMatrix& hss, ULVSchedule schedule)
-    : hss_(hss), schedule_(schedule) {
+ULVFactorization::ULVFactorization(const HSSMatrix& hss) : hss_(hss) {
   nf_.resize(hss_.nodes().size());
   levels_ = cluster::levels_bottom_up(hss_.nodes());
   stats_.levels = static_cast<int>(levels_.size());
@@ -22,7 +21,6 @@ ULVFactorization::ULVFactorization(const HSSMatrix& hss,
                                    std::vector<NodeFactor> nf,
                                    std::unique_ptr<la::LUFactor> root_lu)
     : hss_(hss),
-      schedule_(ULVSchedule::kTaskDag),
       nf_(std::move(nf)),
       root_lu_(std::move(root_lu)) {
   KHSS_REQUIRE(nf_.size() == hss_.nodes().size(),
@@ -116,13 +114,16 @@ void ULVFactorization::eliminate_node(int id, la::Matrix d, la::Matrix u,
   nf.vhat = vt.block(me, 0, r, v.cols());
 }
 
-// Level-synchronous bottom-up sweep: a node reads only its children's
-// factor slots (earlier level) and writes only its own, so every node of
-// one level can be eliminated concurrently.  The per-node computation is
-// a fixed serial sequence — results are bit-identical for any thread
-// count or schedule.
-void ULVFactorization::factor_tree_level_sweep() {
+void ULVFactorization::factor() {
+  if (hss_.nodes().empty()) return;
+  util::Timer total;
   const int root = hss_.root();
+
+  // Level-synchronous bottom-up sweep: a node reads only its children's
+  // factor slots (earlier level) and writes only its own, so every node of
+  // one level can be eliminated concurrently.  The per-node computation is
+  // a fixed serial sequence — results are bit-identical for any thread
+  // count.
   for (const auto& level : levels_) {
     // if-clause: a singleton level gains nothing from the outer fan-out and
     // would pin its node's inner gemm/trsm parallelism to a nested team.
@@ -134,64 +135,6 @@ void ULVFactorization::factor_tree_level_sweep() {
       assemble_node(id, d, u, v);
       eliminate_node(id, std::move(d), std::move(u), std::move(v));
     }
-  }
-}
-
-// Task-DAG sweep: one task per non-root node, with `depend` edges on
-// per-node sentinel bytes — a parent's task carries in-dependences on its
-// children's out-dependences, so it becomes runnable the moment its own
-// subtree finishes rather than after the slowest node of each depth (the
-// level sweep's barrier).  Tasks are created in postorder; OpenMP only
-// orders a task against dependences of *previously created* sibling tasks,
-// and postorder guarantees every child's task exists before its parent's.
-// Inside the (active) parallel region each node's gemms auto-serialize via
-// the in-parallel gate, exactly as in a multi-node level of the level
-// sweep, so the two engines produce bit-identical factors.
-void ULVFactorization::factor_tree_task_dag() {
-  const auto& nodes = hss_.nodes();
-  const int root = hss_.root();
-  std::vector<char> done(nodes.size(), 0);
-  // [[maybe_unused]]: the only uses are inside depend clauses, which the
-  // compiler's use-tracking does not see.
-  char* dep [[maybe_unused]] = done.data();
-#pragma omp parallel default(shared)
-#pragma omp single
-  {
-    for (const int id : hss_.postorder()) {
-      if (id == root) continue;
-      const HSSNode& nd = nodes[id];
-      if (nd.is_leaf()) {
-#pragma omp task default(shared) firstprivate(id) depend(out : dep[id])
-        {
-          la::Matrix d, u, v;
-          assemble_node(id, d, u, v);
-          eliminate_node(id, std::move(d), std::move(u), std::move(v));
-        }
-      } else {
-        const int l = nd.left;
-        const int r = nd.right;
-#pragma omp task default(shared) firstprivate(id) \
-    depend(in : dep[l], dep[r]) depend(out : dep[id])
-        {
-          la::Matrix d, u, v;
-          assemble_node(id, d, u, v);
-          eliminate_node(id, std::move(d), std::move(u), std::move(v));
-        }
-      }
-    }
-  }
-  // Implicit barrier of the parallel region: the root's children are done.
-}
-
-void ULVFactorization::factor() {
-  if (hss_.nodes().empty()) return;
-  util::Timer total;
-  const int root = hss_.root();
-
-  if (schedule_ == ULVSchedule::kTaskDag) {
-    factor_tree_task_dag();
-  } else {
-    factor_tree_level_sweep();
   }
   stats_.factor_tree_seconds = total.seconds();
 

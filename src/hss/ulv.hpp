@@ -19,18 +19,14 @@
 // needs no recompression — the properties Sections 2 and 5.3 of the paper
 // rely on.
 //
-// Parallel engine (DESIGN.md "Parallel hierarchical solve"): the default
-// factor schedule is an OpenMP task DAG — one task per non-root node with
-// `task depend` edges from the children's elimination to the parent's
-// assembly, so a parent starts the moment its own subtree is done instead
-// of waiting for the slowest node of each depth.  The level-synchronous
-// sweep over cluster::levels_bottom_up is kept as a selectable engine
-// (ULVSchedule::kLevelSweep) and remains the shape of both solve phases.
-// Either way the work done at a node is a fixed serial computation, which
-// makes factorization and solve bit-identical for every thread count and
-// across the two schedules.  Multi-RHS solves route their per-node blocks
-// through la::gemm_rhs_invariant, so solutions are also bit-identical under
-// any column split of the right-hand-side block.
+// Parallel engine (DESIGN.md "Parallel hierarchical solve"): factor and
+// both solve phases are level-synchronous sweeps over
+// cluster::levels_bottom_up — every node of one tree depth runs
+// concurrently, with a barrier per depth.  The work done at a node is a
+// fixed serial computation, which makes factorization and solve
+// bit-identical for every thread count.  Multi-RHS solves route their
+// per-node blocks through la::gemm_rhs_invariant, so solutions are also
+// bit-identical under any column split of the right-hand-side block.
 
 #include <memory>
 #include <mutex>
@@ -55,14 +51,6 @@ struct ULVStats {
   int last_rhs = 0;                   // RHS columns of the last solve
 };
 
-/// Parallel schedule of the elimination sweep.  Both produce bit-identical
-/// factors (each node's work is a fixed serial sequence; only the order in
-/// which independent nodes run differs).
-enum class ULVSchedule {
-  kLevelSweep,  // barrier per tree depth (legacy engine)
-  kTaskDag,     // omp task depend: parent runs as soon as its children do
-};
-
 class ULVFactorization {
  public:
   /// Per-node factor state (public for the persistence layer, which stores
@@ -80,8 +68,7 @@ class ULVFactorization {
 
   /// Factor an HSS matrix.  The HSS matrix must stay alive and unmodified
   /// while this factorization is used (it is referenced during solve).
-  explicit ULVFactorization(const HSSMatrix& hss,
-                            ULVSchedule schedule = ULVSchedule::kTaskDag);
+  explicit ULVFactorization(const HSSMatrix& hss);
 
   /// Reassemble a factorization from persisted per-node state and root LU
   /// WITHOUT refactoring (serialize::read_ulv).  `hss` must be the SAME
@@ -121,9 +108,6 @@ class ULVFactorization {
 
  private:
   void factor();
-  /// Elimination sweep over all non-root nodes, one engine per schedule.
-  void factor_tree_level_sweep();
-  void factor_tree_task_dag();
   /// Reduced (D, U, V) at `id` in the coordinates left over after the
   /// children's eliminations (U/V skipped for the root).
   void assemble_node(int id, la::Matrix& d, la::Matrix& u,
@@ -132,7 +116,6 @@ class ULVFactorization {
   void eliminate_node(int id, la::Matrix d, la::Matrix u, la::Matrix v);
 
   const HSSMatrix& hss_;
-  ULVSchedule schedule_;
   std::vector<NodeFactor> nf_;
   std::unique_ptr<la::LUFactor> root_lu_;
   /// Node ids grouped by depth, deepest first — the level-synchronous

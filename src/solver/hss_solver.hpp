@@ -30,7 +30,7 @@ class HSSSolver : public SolverBase {
                 const cluster::ClusterTree& tree) override;
   void factor() override;
   la::Vector solve(const la::Vector& b) override;
-  /// ULV multi-RHS solve; the task-DAG sweeps are RHS-split invariant, so
+  /// ULV multi-RHS solve; the level sweeps are RHS-split invariant, so
   /// columns match one-at-a-time solve() calls bit for bit.
   la::Matrix solve(const la::Matrix& b) override;
   void set_lambda(double lambda) override;

@@ -3,8 +3,6 @@
 // per-phase breakdown (Table 4 in the paper).
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace khss::util {
 
@@ -23,44 +21,6 @@ class Timer {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates named phase timings; used to reproduce the paper's
-/// "H construction / HSS construction (sampling, other) / factor / solve"
-/// breakdown.
-class PhaseTimings {
- public:
-  void add(const std::string& phase, double seconds) {
-    total_[phase] += seconds;
-  }
-
-  double get(const std::string& phase) const {
-    auto it = total_.find(phase);
-    return it == total_.end() ? 0.0 : it->second;
-  }
-
-  const std::map<std::string, double>& all() const { return total_; }
-
-  void clear() { total_.clear(); }
-
- private:
-  std::map<std::string, double> total_;
-};
-
-/// RAII helper: adds the scope's duration to a PhaseTimings entry.
-class ScopedPhase {
- public:
-  ScopedPhase(PhaseTimings& sink, std::string phase)
-      : sink_(sink), phase_(std::move(phase)) {}
-  ~ScopedPhase() { sink_.add(phase_, timer_.seconds()); }
-
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  PhaseTimings& sink_;
-  std::string phase_;
-  Timer timer_;
 };
 
 }  // namespace khss::util

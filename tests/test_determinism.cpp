@@ -125,47 +125,6 @@ TEST(Determinism, RandomizedHssBuildThreadInvariant) {
   expect_hss_identical(serial, parallel);
 }
 
-// The two matmat sweep engines (per-depth barriers vs task depend DAG) and
-// every thread count must all produce the same bits: per node the work is a
-// fixed serial sequence and node outputs are disjoint slots.
-TEST(Determinism, HssMatmatTaskDagMatchesLevelSweep) {
-  util::set_threads(util::hardware_threads());
-  hs::HSSMatrix hss = build_once(/*data_seed=*/3, /*hss_seed=*/17);
-
-  util::Rng rng(18);
-  la::Matrix x(hss.n(), 5);
-  rng.fill_normal(x.data(), x.size());
-
-  la::Matrix y_dag = hss.matmat(x, hs::SweepSchedule::kTaskDag);
-  la::Matrix y_lvl = hss.matmat(x, hs::SweepSchedule::kLevelSweep);
-  expect_matrices_identical(y_dag, y_lvl);
-
-  util::set_threads(1);
-  la::Matrix y_serial = hss.matmat(x);  // default engine on one thread
-  util::set_threads(util::hardware_threads());
-  expect_matrices_identical(y_serial, y_dag);
-}
-
-// Same pin for the ULV factor schedules, end-to-end through a solve.
-TEST(Determinism, UlvTaskDagMatchesLevelSweep) {
-  util::set_threads(util::hardware_threads());
-  hs::HSSMatrix hss = build_once(/*data_seed=*/4, /*hss_seed=*/23);
-
-  util::Rng rng(24);
-  la::Matrix b(hss.n(), 3);
-  rng.fill_normal(b.data(), b.size());
-
-  hs::ULVFactorization dag(hss, hs::ULVSchedule::kTaskDag);
-  hs::ULVFactorization lvl(hss, hs::ULVSchedule::kLevelSweep);
-  expect_matrices_identical(dag.solve(b), lvl.solve(b));
-
-  util::set_threads(1);
-  hs::ULVFactorization serial(hss);  // default (task DAG) on one thread
-  la::Matrix x1 = serial.solve(b);
-  util::set_threads(util::hardware_threads());
-  expect_matrices_identical(x1, dag.solve(b));
-}
-
 namespace {
 
 // Fit + solve through KRRModel with a fixed seed; used to pin the two
@@ -347,12 +306,18 @@ TEST(Determinism, UlvSolveRhsSplitInvariant) {
   expect_matrices_identical(x, stitched);
 }
 
-// The level-parallel matvec sweeps: thread invariance, and single-vector
-// matvec() must reproduce the matching matmat() column bit-for-bit.
+// The level-parallel matvec sweeps: bitwise thread invariance at 2, 8 and
+// all threads against 1 (per node the work is a fixed serial sequence and
+// node outputs are disjoint slots), and single-vector matvec() must
+// reproduce the matching matmat() column bit-for-bit.
 TEST(Determinism, HssMatvecThreadAndRhsSplitInvariant) {
   UlvFixture fx;
   util::set_threads(1);
   const la::Matrix ys = fx.hss.matmat(fx.b);
+  for (const int threads : {2, 8}) {
+    util::set_threads(threads);
+    expect_matrices_identical(ys, fx.hss.matmat(fx.b));
+  }
   util::set_threads(util::hardware_threads());
   const la::Matrix yp = fx.hss.matmat(fx.b);
   expect_matrices_identical(ys, yp);

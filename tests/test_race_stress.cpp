@@ -134,27 +134,26 @@ TEST(RaceHarness, ConcurrentULVSolves) {
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
 }
 
-// Concurrent task-DAG factorizations and solves over ONE shared HSS matrix:
-// each std::thread constructs its own ULVFactorization — the default
-// task-DAG engine opens an OpenMP parallel region with `task depend` chains
-// inside every caller — then solves.  The HSS matrix is shared read-only;
-// every thread's factor and solution must be bit-identical to the reference.
-// Sized below the other harness cases: kThreads nested task-DAG regions are
-// the most expensive shape here under TSan (every task spawn/completion is
-// a history event), and n=256 already covers a 4-level dependence chain.
-TEST(RaceHarness, ConcurrentTaskDagFactorSolve) {
+// Concurrent ULV factorizations and solves over ONE shared HSS matrix: each
+// std::thread constructs its own ULVFactorization — every caller opens its
+// own level-sweep `parallel for` regions, one per tree depth — then solves.
+// The HSS matrix is shared read-only; every thread's factor and solution
+// must be bit-identical to the reference.  n=256 at leaf size 16 already
+// sweeps 4+ levels, and keeps kThreads concurrent factorizations cheap
+// under TSan.
+TEST(RaceHarness, ConcurrentULVFactorSolve) {
   Case c = make_case(256, 3, 1.0, 2.0, 43);
   hs::HSSOptions opts;
   opts.rtol = 1e-8;
   hs::HSSMatrix hss = hs::build_hss_from_dense(c.kernel->dense(), c.tree, opts);
 
   const la::Matrix bm = random_mat(256, 4, 44);
-  hs::ULVFactorization ref(hss, hs::ULVSchedule::kTaskDag);
+  hs::ULVFactorization ref(hss);
   const la::Matrix xm_ref = ref.solve(bm);
 
   std::vector<int> mismatches(kThreads, 0);
   hammer([&](int t) {
-    hs::ULVFactorization ulv(hss, hs::ULVSchedule::kTaskDag);
+    hs::ULVFactorization ulv(hss);
     la::Matrix xm = ulv.solve(bm);
     for (int i = 0; i < 256; ++i) {
       for (int j = 0; j < 4; ++j) {

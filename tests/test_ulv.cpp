@@ -115,33 +115,12 @@ TEST(ULV, MultipleRhsConsistent) {
   }
 }
 
-// The task-DAG elimination schedule must reproduce the level sweep's factor
-// bit-for-bit: per node the work is the same fixed serial sequence, only the
-// order independent nodes run in differs (DESIGN.md "Parallel hierarchical
-// solve").  leaf_size 16 at n = 512 gives a tree of >= 4 levels, so the DAG
-// actually chains across depths.
-TEST(ULV, TaskDagMatchesLevelSweepBitwise) {
-  Case c = kernel_case(512, 3, 1.2, 1e-2, 77);
-  hs::HSSOptions opts;
-  opts.rtol = 1e-8;
-  hs::HSSMatrix hss = hs::build_hss_from_dense(c.dense, c.tree, opts);
-
-  hs::ULVFactorization dag(hss, hs::ULVSchedule::kTaskDag);
-  hs::ULVFactorization lvl(hss, hs::ULVSchedule::kLevelSweep);
-
-  khss::util::Rng rng(78);
-  la::Matrix b(512, 6);
-  rng.fill_normal(b.data(), b.size());
-  la::Matrix xd = dag.solve(b);
-  la::Matrix xl = lvl.solve(b);
-  for (int i = 0; i < 512; ++i) {
-    for (int j = 0; j < 6; ++j) ASSERT_EQ(xd(i, j), xl(i, j));
-  }
-}
-
-// Thread-count invariance of the task-DAG engine: factor + solve must be
-// bit-identical whether the DAG runs on 1, 2 or 8 threads.
-TEST(ULV, TaskDagThreadCountInvariantBitwise) {
+// Thread-count invariance of the level-synchronous engine: factor + solve
+// must be bit-identical whether the sweeps run on 1, 2 or 8 threads.
+// leaf_size 16 at n = 384 gives a tree of >= 4 levels, so multi-node levels
+// (outer fan-out) and the singleton root level (inner gemm threading) are
+// both exercised.
+TEST(ULV, FactorThreadCountInvariantBitwise) {
   Case c = kernel_case(384, 3, 1.1, 1e-2, 79);
   hs::HSSMatrix hss = hs::build_hss_from_dense(c.dense, c.tree, {});
 
@@ -150,12 +129,12 @@ TEST(ULV, TaskDagThreadCountInvariantBitwise) {
   rng.fill_normal(b.data(), b.size());
 
   khss::util::set_threads(1);
-  hs::ULVFactorization ref(hss, hs::ULVSchedule::kTaskDag);
+  hs::ULVFactorization ref(hss);
   la::Matrix x_ref = ref.solve(b);
 
   for (const int threads : {2, 8}) {
     khss::util::set_threads(threads);
-    hs::ULVFactorization ulv(hss, hs::ULVSchedule::kTaskDag);
+    hs::ULVFactorization ulv(hss);
     la::Matrix x = ulv.solve(b);
     for (int i = 0; i < 384; ++i) {
       for (int j = 0; j < 4; ++j) {

@@ -51,6 +51,15 @@ Rules (ids used in tools/lint_allowlist.txt):
       counters are fine — allowlist them with the justification in a
       comment.  (Scope is src/ only.)
 
+  env-knob
+      A `getenv(` call in src/.  An environment variable is a hidden
+      runtime option: it changes what the library computes without
+      appearing in any API, option struct, CLI flag or log line, so two
+      runs of the same binary on the same input can silently differ.
+      Library behaviour is configured through explicit options only; read
+      the environment in a tool's main() and pass the value in.  (Scope is
+      src/ only.)
+
 Allowlist format (tools/lint_allowlist.txt): one entry per line,
 
     rule-id|path/relative/to/repo|substring-of-offending-line
@@ -78,6 +87,7 @@ RULE_SCOPE = {
     "double-accumulation": ("src",),
     "kernel-type-switch": ("src",),
     "omp-critical-reduction": ("src",),
+    "env-knob": ("src",),
 }
 
 NUMERIC_PARSE = re.compile(
@@ -92,6 +102,7 @@ KERNEL_TYPE_SWITCH = re.compile(r"\bcase\s+(?:\w+::)*KernelType::")
 OMP_CRITICAL = re.compile(r"#\s*pragma\s+omp\s+critical\b")
 CRITICAL_REDUCTION = re.compile(r"\+=|\.add\s*\(")
 CRITICAL_WINDOW = 3  # lines after the pragma in which a reduction counts
+ENV_KNOB = re.compile(r"\bgetenv\s*\(")
 
 
 def strip_comments(lines):
@@ -178,6 +189,8 @@ def scan_file(rel, raw):
                 if CRITICAL_REDUCTION.search(code[j]):
                     findings.append(("omp-critical-reduction", rel, no, text))
                     break
+        if in_scope("env-knob") and ENV_KNOB.search(line):
+            findings.append(("env-knob", rel, no, text))
         if in_scope("double-accumulation") and not rel.startswith(
                 os.path.join("src", "la") + os.sep):
             m = DOUBLE_ACC_DECL.search(line)
